@@ -124,16 +124,29 @@ fn main() -> ExitCode {
     let mut tally = Tally::default();
     // A traced run needs only one untraced pass, for the overhead.
     let traced = args.trace || args.print_digests;
-    let seconds = (!traced).then_some(args.seconds);
-    let samples = workload::measure(w, args.corpus, args.seed, seconds, checks, &mut tally);
-    let wall = spans::median(&samples.wall);
-    eprintln!(
-        "perfbench: {} seed {}: wall {:?} s, setup {:?} s",
-        w.name(),
-        args.seed,
-        samples.wall,
-        samples.setup
-    );
+    if args.print_digests {
+        workload::measure(w, args.corpus, args.seed, 0.0, checks, &mut tally);
+    }
+    let (wall, setup) = if traced {
+        let wall = workload::reference_pass(w, args.corpus, args.seed, checks, &mut tally);
+        eprintln!(
+            "perfbench: {} seed {}: untraced wall {wall} s",
+            w.name(),
+            args.seed
+        );
+        (wall, f64::NAN)
+    } else {
+        let s = workload::measure(w, args.corpus, args.seed, args.seconds, checks, &mut tally);
+        eprintln!(
+            "perfbench: {} seed {}: wall {} s, setup {} s; seconds per shard per round {:?}",
+            w.name(),
+            args.seed,
+            s.wall(),
+            s.setup(),
+            s.shard
+        );
+        (s.wall(), s.setup())
+    };
     let metrics: Vec<(&str, f64, &str)> = if traced {
         let m = layers::traced(w, args.corpus, args.seed, wall, checks, &mut tally);
         let zero: Vec<&str> = m
@@ -147,7 +160,7 @@ fn main() -> ExitCode {
             .map(|&(name, unit)| (name, m[name], unit))
             .collect()
     } else {
-        let values = [wall, spans::median(&samples.setup), peak_rss_mib()];
+        let values = [wall, setup, peak_rss_mib()];
         END_TO_END
             .iter()
             .zip(values)

@@ -131,24 +131,12 @@ pub fn layer_totals(spans: &[Span]) -> BTreeMap<&'static str, (u64, u64)> {
 
 /// The `q`-quantile (`0 ≤ q ≤ 1`) of `sorted` by the nearest-rank rule;
 /// 0 for an empty slice.
-pub fn quantile(sorted: &[u64], q: f64) -> u64 {
+pub fn quantile<T: Copy + Default>(sorted: &[T], q: f64) -> T {
     if sorted.is_empty() {
-        return 0;
+        return T::default();
     }
     let rank = (q * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Median of `values` (mean of the middle two for an even count).
-pub fn median(values: &[f64]) -> f64 {
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
-    match n {
-        0 => 0.0,
-        _ if n % 2 == 1 => v[n / 2],
-        _ => (v[n / 2 - 1] + v[n / 2]) / 2.0,
-    }
 }
 
 #[cfg(test)]
@@ -212,9 +200,7 @@ mod tests {
         assert_eq!(quantile(&v, 0.5), 50);
         assert_eq!(quantile(&v, 0.99), 99);
         assert_eq!(quantile(&v, 1.0), 100);
-        assert_eq!(quantile(&[], 0.5), 0);
-        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
+        assert_eq!(quantile::<u64>(&[], 0.5), 0);
     }
 
     #[test]

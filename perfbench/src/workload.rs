@@ -10,7 +10,8 @@ use widening::report::Report;
 use widening::workload::corpus::{self, CorpusSpec};
 use widening::Evaluator;
 
-use crate::check::{report_digest, Tally};
+use crate::check::{digest, report_digest, Tally};
+use crate::spans::quantile;
 
 /// One named set of inputs and experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +64,17 @@ impl Workload {
         }
     }
 
+    /// How many shards the untraced run splits the corpus into. Each
+    /// shard's experiments take about a second, so that a shard can be
+    /// timed again outside a slow spell of the host (see [`measure`]).
+    pub fn shards(self) -> usize {
+        match self {
+            Workload::PressureTail => 24,
+            Workload::PaperGrid => 8,
+            Workload::Simulate => 16,
+        }
+    }
+
     fn corpus_spec(self, corpus: Corpus) -> CorpusSpec {
         match (self, corpus) {
             (Workload::PressureTail, Corpus::Default) => CorpusSpec::small(120, 1998),
@@ -102,6 +114,24 @@ pub fn make_loops(w: Workload, corpus: Corpus, seed: u64) -> Vec<Loop> {
     loops
 }
 
+/// The workload's corpus dealt into [`Workload::shards`] shards in
+/// generation order (loop `i` goes to shard `i mod shards`), each then
+/// shuffled by `seed`. Which loops share a shard does not depend on the
+/// seed, so each shard's results, and their digests, do not either.
+pub fn make_shards(w: Workload, corpus: Corpus, seed: u64) -> Vec<Vec<Loop>> {
+    let mut shards = vec![Vec::new(); w.shards()];
+    for (i, l) in corpus::generate(&w.corpus_spec(corpus))
+        .into_iter()
+        .enumerate()
+    {
+        shards[i % w.shards()].push(l);
+    }
+    for (k, shard) in shards.iter_mut().enumerate() {
+        shuffle(shard, seed.wrapping_add(k as u64));
+    }
+    shards
+}
+
 /// Fisher–Yates under SplitMix64.
 fn shuffle<T>(items: &mut [T], seed: u64) {
     let mut state = seed;
@@ -132,6 +162,23 @@ pub struct Checks<'a> {
     pub print: bool,
 }
 
+/// One experiment's reports, or `None` if it panicked or is unknown.
+pub type Outcome = Option<Vec<Report>>;
+
+/// Runs `w`'s experiments on `ctx`. Returns the host seconds spent
+/// inside the experiment calls and each experiment's outcome.
+pub fn run_timed(ctx: &Context, w: Workload) -> (f64, Vec<Outcome>) {
+    let mut seconds = 0.0;
+    let mut outcomes = Vec::new();
+    for &name in w.experiments() {
+        let t = Instant::now();
+        let out = catch_unwind(AssertUnwindSafe(|| experiments::run(name, ctx)));
+        seconds += t.elapsed().as_secs_f64();
+        outcomes.push(out.ok().flatten());
+    }
+    (seconds, outcomes)
+}
+
 /// Runs `w`'s experiments on `ctx`, checking each one's reports against
 /// the digests shipped under `digest_key`. Returns the host seconds spent
 /// inside the experiment calls.
@@ -142,12 +189,9 @@ pub fn run_experiments(
     checks: Checks,
     tally: &mut Tally,
 ) -> f64 {
-    let mut seconds = 0.0;
-    for &name in w.experiments() {
-        let t = Instant::now();
-        let out = catch_unwind(AssertUnwindSafe(|| experiments::run(name, ctx)));
-        seconds += t.elapsed().as_secs_f64();
-        check_experiment(name, out.ok().flatten(), digest_key, checks, tally);
+    let (seconds, outcomes) = run_timed(ctx, w);
+    for (&name, out) in w.experiments().iter().zip(outcomes) {
+        check_experiment(name, out, digest_key, checks, tally);
     }
     seconds
 }
@@ -169,6 +213,39 @@ pub fn check_experiment(
     }
     let got = report_digest(&reports);
     tally.digest(checks.print, [digest_key, checks.corpus, name], &got);
+}
+
+/// Checks one experiment over every shard of a sharded round: each
+/// shard's outcome is checked on its own (a panic, `simulate`'s rows),
+/// and the shards' report digests, in shard order, are digested into
+/// the one checked under `<workload>+shards`.
+pub fn check_sharded(
+    w: Workload,
+    name: &str,
+    shards: Vec<Outcome>,
+    checks: Checks,
+    tally: &mut Tally,
+) {
+    let mut joined = String::new();
+    for (k, reports) in shards.into_iter().enumerate() {
+        let Some(reports) = reports else {
+            tally.record(false, || {
+                format!("{name}: experiment panicked on shard {k}")
+            });
+            return;
+        };
+        if name == "simulate" {
+            check_simulation_rows(&reports[0], tally);
+        }
+        joined.push_str(&report_digest(&reports));
+        joined.push('\n');
+    }
+    let key = format!("{}+shards", w.name());
+    tally.digest(
+        checks.print,
+        [&key, checks.corpus, name],
+        &digest(joined.as_bytes()),
+    );
 }
 
 /// Every row of the `simulate` report: each simulated loop is one
@@ -198,56 +275,116 @@ fn check_simulation_rows(report: &Report, tally: &mut Tally) {
 }
 
 /// Host-time samples of one untraced run.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Samples {
     /// Seconds per set-up.
     pub setup: Vec<f64>,
-    /// Seconds per measured pass over the workload's experiments.
-    pub wall: Vec<f64>,
+    /// Seconds per shard (outer) per round (inner).
+    pub shard: Vec<Vec<f64>>,
 }
 
-/// Host seconds of one burst of back-to-back set-ups. A set-up of a few
-/// milliseconds needs hundreds of samples, and the host's speed for
-/// such short, allocation-heavy work changes from second to second, so
-/// an untraced run samples a burst before its first pass and after
-/// every pass: the set-up samples span the run as the passes do.
-const SETUP_BURST_SECONDS: f64 = 1.0;
+impl Samples {
+    /// `wall_s`: the sum over shards of each shard's fastest round.
+    pub fn wall(&self) -> f64 {
+        self.shard
+            .iter()
+            .map(|rounds| rounds.iter().copied().fold(f64::INFINITY, f64::min))
+            .sum()
+    }
 
-/// The untraced run. With `seconds`, it makes measured passes, each
-/// over a fresh evaluator, until `seconds` of measured time have
-/// accumulated, with set-up bursts around them. Without, it makes one
-/// pass and samples no set-up (a traced run's reference pass).
+    /// `setup_s`: the lower decile of the run's set-ups.
+    pub fn setup(&self) -> f64 {
+        lower_decile(&self.setup)
+    }
+}
+
+/// The 0.1-quantile of `values` by the nearest-rank rule.
+fn lower_decile(values: &[f64]) -> f64 {
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    quantile(&v, 0.1)
+}
+
+/// Host seconds of back-to-back set-ups after each shard. A set-up takes
+/// 0.5 to 8 ms, so a run holds hundreds to thousands of samples, spread
+/// over its whole length.
+const SETUP_SLICE_SECONDS: f64 = 0.1;
+
+/// Fewest rounds an untraced run makes, so every shard has a second
+/// sample to take the faster of.
+const MIN_ROUNDS: usize = 2;
+
+/// The untraced run. It makes rounds over the shards, each shard on a
+/// fresh evaluator, while another round fits into `seconds` of measured
+/// time (and at least [`MIN_ROUNDS`]), with a slice of set-ups after
+/// every shard.
+///
+/// On a shared 2-vCPU KVM guest (Intel Xeon), execution slows by about
+/// 1.45× for spells of one second to minutes that cover a varying share
+/// of the time; see the noise record in `README.md`. A run
+/// of whole passes averages those spells in, so its time follows the
+/// share; timing short shards and keeping each shard's fastest round,
+/// and the lower decile of set-ups, leaves out the spells that end
+/// within the run.
 pub fn measure(
     w: Workload,
     corpus: Corpus,
     seed: u64,
-    seconds: Option<f64>,
+    seconds: f64,
     checks: Checks,
     tally: &mut Tally,
 ) -> Samples {
-    let mut s = Samples::default();
-    let setup_burst = |setup: &mut Vec<f64>| {
-        let burst = Instant::now();
-        while burst.elapsed().as_secs_f64() < SETUP_BURST_SECONDS {
+    let mut s = Samples {
+        setup: Vec::new(),
+        shard: vec![Vec::new(); w.shards()],
+    };
+    let setup_slice = |setup: &mut Vec<f64>| {
+        let start = Instant::now();
+        while setup.is_empty() || start.elapsed().as_secs_f64() < SETUP_SLICE_SECONDS {
             let t = Instant::now();
             let ctx = context(make_loops(w, corpus, seed));
             setup.push(t.elapsed().as_secs_f64());
             drop(ctx);
         }
     };
-    if seconds.is_some() {
-        setup_burst(&mut s.setup);
-    }
-    while s.wall.is_empty() || s.wall.iter().sum::<f64>() < seconds.unwrap_or(0.0) {
-        let ctx = context(make_loops(w, corpus, seed));
-        s.wall
-            .push(run_experiments(&ctx, w, w.name(), checks, tally));
-        drop(ctx);
-        if seconds.is_some() {
-            setup_burst(&mut s.setup);
+    let shards = make_shards(w, corpus, seed);
+    let (mut measured, mut rounds) = (0.0, 0);
+    loop {
+        let mut outcomes: Vec<Vec<Outcome>> = vec![Vec::new(); w.experiments().len()];
+        let mut round = 0.0;
+        for (k, loops) in shards.iter().enumerate() {
+            let ctx = context(loops.clone());
+            let (t, outs) = run_timed(&ctx, w);
+            drop(ctx);
+            s.shard[k].push(t);
+            round += t;
+            setup_slice(&mut s.setup);
+            for (e, out) in outs.into_iter().enumerate() {
+                outcomes[e].push(out);
+            }
+        }
+        for (&name, shard_outcomes) in w.experiments().iter().zip(outcomes) {
+            check_sharded(w, name, shard_outcomes, checks, tally);
+        }
+        measured += round;
+        rounds += 1;
+        if rounds >= MIN_ROUNDS && measured + round > seconds {
+            return s;
         }
     }
-    s
+}
+
+/// One untraced pass over the whole corpus on one evaluator: a traced
+/// run's reference for `obs.trace_overhead`. Returns its host seconds.
+pub fn reference_pass(
+    w: Workload,
+    corpus: Corpus,
+    seed: u64,
+    checks: Checks,
+    tally: &mut Tally,
+) -> f64 {
+    let ctx = context(make_loops(w, corpus, seed));
+    run_experiments(&ctx, w, w.name(), checks, tally)
 }
 
 #[cfg(test)]
@@ -294,6 +431,44 @@ mod tests {
         };
         check_experiment("fig3", None, "pressure-tail", checks, &mut t);
         assert_eq!((t.attempted, t.failed), (1, 1));
+    }
+
+    #[test]
+    fn wall_keeps_each_shards_fastest_round() {
+        let s = Samples {
+            setup: vec![],
+            shard: vec![vec![1.0, 1.4], vec![2.9, 2.0], vec![0.5]],
+        };
+        assert_eq!(s.wall(), 3.5);
+    }
+
+    #[test]
+    fn setup_is_the_lower_decile() {
+        let s = Samples {
+            // Nearest rank: the 2nd of 20.
+            setup: (0..20).rev().map(f64::from).collect(),
+            shard: vec![],
+        };
+        assert_eq!(s.setup(), 1.0);
+        assert_eq!(lower_decile(&[5.0]), 5.0);
+    }
+
+    #[test]
+    fn shard_membership_does_not_depend_on_the_seed() {
+        let names = |seed| -> Vec<Vec<String>> {
+            make_shards(Workload::PressureTail, Corpus::Default, seed)
+                .iter()
+                .map(|shard| {
+                    let mut n: Vec<String> = shard.iter().map(|l| l.name().to_string()).collect();
+                    n.sort();
+                    n
+                })
+                .collect()
+        };
+        let a = names(1);
+        assert_eq!(a.len(), Workload::PressureTail.shards());
+        assert_eq!(a.iter().map(Vec::len).sum::<usize>(), 120);
+        assert_eq!(a, names(2));
     }
 
     #[test]
