@@ -14,6 +14,7 @@
 
 mod check;
 mod layers;
+mod pace;
 mod spans;
 mod workload;
 
@@ -75,16 +76,6 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// Peak resident set of this process, from `/proc/self/status`.
-fn peak_rss_mib() -> f64 {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
-        .map_or(0.0, |kib| kib / 1024.0)
-}
-
 fn result_json(tally: &Tally, metrics: &[(&str, f64, &str)]) -> String {
     let mut out = format!(
         "{{\"correct\": {}, \"attempted\": {}, \"failed\": {}, \"metrics\": {{",
@@ -127,25 +118,28 @@ fn main() -> ExitCode {
     if args.print_digests {
         workload::measure(w, args.corpus, args.seed, 0.0, checks, &mut tally);
     }
-    let (wall, setup) = if traced {
+    let (wall, setup, peak_rss) = if traced {
         let wall = workload::reference_pass(w, args.corpus, args.seed, checks, &mut tally);
         eprintln!(
             "perfbench: {} seed {}: untraced wall {wall} s",
             w.name(),
             args.seed
         );
-        (wall, f64::NAN)
+        (wall, f64::NAN, f64::NAN)
     } else {
         let s = workload::measure(w, args.corpus, args.seed, args.seconds, checks, &mut tally);
         eprintln!(
-            "perfbench: {} seed {}: wall {} s, setup {} s; seconds per shard per round {:?}",
+            "perfbench: {} seed {}: host wall {} s, host setup {} s, pace {} s; \
+             seconds per shard per round {:?}; reference kernel seconds {:?}",
             w.name(),
             args.seed,
-            s.wall(),
-            s.setup(),
-            s.shard
+            s.raw_wall(),
+            s.raw_setup(),
+            s.pace(),
+            s.shard,
+            s.pace
         );
-        (s.wall(), s.setup())
+        (s.wall(), s.setup(), s.peak_rss_mib)
     };
     let metrics: Vec<(&str, f64, &str)> = if traced {
         let m = layers::traced(w, args.corpus, args.seed, wall, checks, &mut tally);
@@ -160,7 +154,7 @@ fn main() -> ExitCode {
             .map(|&(name, unit)| (name, m[name], unit))
             .collect()
     } else {
-        let values = [wall, setup, peak_rss_mib()];
+        let values = [wall, setup, peak_rss];
         END_TO_END
             .iter()
             .zip(values)

@@ -11,6 +11,7 @@ use widening::workload::corpus::{self, CorpusSpec};
 use widening::Evaluator;
 
 use crate::check::{digest, report_digest, Tally};
+use crate::pace;
 use crate::spans::quantile;
 
 /// One named set of inputs and experiments.
@@ -64,14 +65,22 @@ impl Workload {
         }
     }
 
-    /// How many shards the untraced run splits the corpus into. Each
-    /// shard's experiments take about a second, so that a shard can be
-    /// timed again outside a slow spell of the host (see [`measure`]).
+    /// How many shards the untraced run splits the workload's loops
+    /// into. Each shard's experiments take up to about a second, so that
+    /// a shard is timed many times in a run (see [`measure`]).
     pub fn shards(self) -> usize {
+        8
+    }
+
+    /// The workload's loops are every `stride`-th loop of its generated
+    /// corpus: 40 of the 120-loop small corpus, 590 or 148 of the
+    /// 1180-loop paper corpus. This keeps one pass over them at 2 to 3 s,
+    /// so that a run of 35 s times every shard 7 to 10 times.
+    pub fn stride(self) -> usize {
         match self {
-            Workload::PressureTail => 24,
-            Workload::PaperGrid => 8,
-            Workload::Simulate => 16,
+            Workload::PressureTail => 3,
+            Workload::PaperGrid => 2,
+            Workload::Simulate => 8,
         }
     }
 
@@ -103,27 +112,33 @@ impl Corpus {
     }
 }
 
-/// The loops handed to the program: the workload's corpus, shuffled by
-/// `seed`. The shuffle changes every per-loop index the stack sees but
-/// neither the set of `(loop × design point)` units nor any rendered
-/// result, so run cost stays comparable across seeds and one digest
-/// checks every seed.
+/// The loops handed to the program: the workload's loops (see
+/// [`Workload::stride`]), shuffled by `seed`. The shuffle changes every
+/// per-loop index the stack sees but neither the set of `(loop × design
+/// point)` units nor any rendered result, so run cost stays comparable
+/// across seeds and one digest checks every seed.
 pub fn make_loops(w: Workload, corpus: Corpus, seed: u64) -> Vec<Loop> {
-    let mut loops = corpus::generate(&w.corpus_spec(corpus));
+    let mut loops = workload_loops(w, corpus);
     shuffle(&mut loops, seed);
     loops
 }
 
-/// The workload's corpus dealt into [`Workload::shards`] shards in
+/// Every [`Workload::stride`]-th loop of the workload's corpus, in
+/// generation order.
+fn workload_loops(w: Workload, corpus: Corpus) -> Vec<Loop> {
+    corpus::generate(&w.corpus_spec(corpus))
+        .into_iter()
+        .step_by(w.stride())
+        .collect()
+}
+
+/// The workload's loops dealt into [`Workload::shards`] shards in
 /// generation order (loop `i` goes to shard `i mod shards`), each then
 /// shuffled by `seed`. Which loops share a shard does not depend on the
 /// seed, so each shard's results, and their digests, do not either.
 pub fn make_shards(w: Workload, corpus: Corpus, seed: u64) -> Vec<Vec<Loop>> {
     let mut shards = vec![Vec::new(); w.shards()];
-    for (i, l) in corpus::generate(&w.corpus_spec(corpus))
-        .into_iter()
-        .enumerate()
-    {
+    for (i, l) in workload_loops(w, corpus).into_iter().enumerate() {
         shards[i % w.shards()].push(l);
     }
     for (k, shard) in shards.iter_mut().enumerate() {
@@ -281,20 +296,56 @@ pub struct Samples {
     pub setup: Vec<f64>,
     /// Seconds per shard (outer) per round (inner).
     pub shard: Vec<Vec<f64>>,
+    /// Seconds of the reference kernel run right after each shard, in
+    /// the same layout.
+    pub pace: Vec<Vec<f64>>,
+    /// `peak_rss_mib`: the process's peak resident set after the warm-up
+    /// round, before the reference kernel first runs.
+    pub peak_rss_mib: f64,
+}
+
+/// Peak resident set of this process, from `/proc/self/status`.
+fn peak_rss_mib() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
+        .map_or(0.0, |kib| kib / 1024.0)
+}
+
+/// Each row's fastest entry.
+fn row_minima(rows: &[Vec<f64>]) -> impl Iterator<Item = f64> + '_ {
+    rows.iter()
+        .map(|row| row.iter().copied().fold(f64::INFINITY, f64::min))
 }
 
 impl Samples {
-    /// `wall_s`: the sum over shards of each shard's fastest round.
-    pub fn wall(&self) -> f64 {
-        self.shard
-            .iter()
-            .map(|rounds| rounds.iter().copied().fold(f64::INFINITY, f64::min))
-            .sum()
+    /// The sum over shards of each shard's fastest round, in host seconds.
+    pub fn raw_wall(&self) -> f64 {
+        row_minima(&self.shard).sum()
     }
 
-    /// `setup_s`: the lower decile of the run's set-ups.
-    pub fn setup(&self) -> f64 {
+    /// The lower decile of the run's set-ups, in host seconds.
+    pub fn raw_setup(&self) -> f64 {
         lower_decile(&self.setup)
+    }
+
+    /// The host's pace over the run: the mean over shards of the fastest
+    /// reference kernel run after each shard, the same estimator as
+    /// [`Samples::raw_wall`] takes over the shards' times.
+    pub fn pace(&self) -> f64 {
+        row_minima(&self.pace).sum::<f64>() / self.pace.len() as f64
+    }
+
+    /// `wall_s`: [`Samples::raw_wall`] scaled to the reference pace.
+    pub fn wall(&self) -> f64 {
+        self.raw_wall() * pace::REFERENCE_PACE_S / self.pace()
+    }
+
+    /// `setup_s`: [`Samples::raw_setup`] scaled to the reference pace.
+    pub fn setup(&self) -> f64 {
+        self.raw_setup() * pace::REFERENCE_PACE_S / self.pace()
     }
 }
 
@@ -308,24 +359,28 @@ fn lower_decile(values: &[f64]) -> f64 {
 /// Host seconds of back-to-back set-ups after each shard. A set-up takes
 /// 0.5 to 8 ms, so a run holds hundreds to thousands of samples, spread
 /// over its whole length.
-const SETUP_SLICE_SECONDS: f64 = 0.1;
+const SETUP_SLICE_SECONDS: f64 = 0.03;
+
+/// The shuffle seed of the warm-up round, whatever `--seed` is.
+const WARM_UP_SEED: u64 = 0;
 
 /// Fewest rounds an untraced run makes, so every shard has a second
 /// sample to take the faster of.
 const MIN_ROUNDS: usize = 2;
 
-/// The untraced run. It makes rounds over the shards, each shard on a
-/// fresh evaluator, while another round fits into `seconds` of measured
-/// time (and at least [`MIN_ROUNDS`]), with a slice of set-ups after
-/// every shard.
+/// The untraced run. After a warm-up round it makes timed rounds over the
+/// shards, each shard on a fresh evaluator, with a slice of set-ups and
+/// then one run of the reference kernel after every shard. It makes at
+/// least [`MIN_ROUNDS`] timed rounds,
+/// and more while another round as long as the last one ends within
+/// `seconds` of the run's start.
 ///
-/// On a shared 2-vCPU KVM guest (Intel Xeon), execution slows by about
-/// 1.45× for spells of one second to minutes that cover a varying share
-/// of the time; see the noise record in `README.md`. A run
-/// of whole passes averages those spells in, so its time follows the
-/// share; timing short shards and keeping each shard's fastest round,
-/// and the lower decile of set-ups, leaves out the spells that end
-/// within the run.
+/// On a shared 2-vCPU KVM guest (Intel Xeon), execution slows by up to
+/// 1.45× for spells of one second to minutes; see the noise record in
+/// `README.md`. Keeping each shard's fastest round, and the lower decile
+/// of set-ups, leaves out the spells that end within the run; scaling by
+/// the reference kernel's pace (see [`crate::pace`]) takes out those that
+/// cover it.
 pub fn measure(
     w: Workload,
     corpus: Corpus,
@@ -337,6 +392,8 @@ pub fn measure(
     let mut s = Samples {
         setup: Vec::new(),
         shard: vec![Vec::new(); w.shards()],
+        pace: vec![Vec::new(); w.shards()],
+        peak_rss_mib: 0.0,
     };
     let setup_slice = |setup: &mut Vec<f64>| {
         let start = Instant::now();
@@ -347,18 +404,28 @@ pub fn measure(
             drop(ctx);
         }
     };
+    let start = Instant::now();
     let shards = make_shards(w, corpus, seed);
-    let (mut measured, mut rounds) = (0.0, 0);
+    // An untimed warm-up round with one set-up. The peak resident set is
+    // read after it, before the reference kernel adds its few MiB. Loop
+    // order moves the peak by up to 8% on `simulate`, so the warm-up
+    // runs every seed's shards in one order.
+    for loops in make_shards(w, corpus, WARM_UP_SEED) {
+        run_timed(&context(loops), w);
+    }
+    drop(context(make_loops(w, corpus, seed)));
+    s.peak_rss_mib = peak_rss_mib();
+    let mut rounds = 0;
     loop {
         let mut outcomes: Vec<Vec<Outcome>> = vec![Vec::new(); w.experiments().len()];
-        let mut round = 0.0;
+        let round = Instant::now();
         for (k, loops) in shards.iter().enumerate() {
             let ctx = context(loops.clone());
             let (t, outs) = run_timed(&ctx, w);
             drop(ctx);
             s.shard[k].push(t);
-            round += t;
             setup_slice(&mut s.setup);
+            s.pace[k].push(pace::sample());
             for (e, out) in outs.into_iter().enumerate() {
                 outcomes[e].push(out);
             }
@@ -366,9 +433,9 @@ pub fn measure(
         for (&name, shard_outcomes) in w.experiments().iter().zip(outcomes) {
             check_sharded(w, name, shard_outcomes, checks, tally);
         }
-        measured += round;
         rounds += 1;
-        if rounds >= MIN_ROUNDS && measured + round > seconds {
+        let round = round.elapsed().as_secs_f64();
+        if rounds >= MIN_ROUNDS && start.elapsed().as_secs_f64() + round > seconds {
             return s;
         }
     }
@@ -438,8 +505,10 @@ mod tests {
         let s = Samples {
             setup: vec![],
             shard: vec![vec![1.0, 1.4], vec![2.9, 2.0], vec![0.5]],
+            pace: vec![vec![0.1]; 3],
+            peak_rss_mib: 0.0,
         };
-        assert_eq!(s.wall(), 3.5);
+        assert_eq!(s.raw_wall(), 3.5);
     }
 
     #[test]
@@ -448,9 +517,27 @@ mod tests {
             // Nearest rank: the 2nd of 20.
             setup: (0..20).rev().map(f64::from).collect(),
             shard: vec![],
+            pace: vec![],
+            peak_rss_mib: 0.0,
         };
-        assert_eq!(s.setup(), 1.0);
+        assert_eq!(s.raw_setup(), 1.0);
         assert_eq!(lower_decile(&[5.0]), 5.0);
+    }
+
+    #[test]
+    fn a_run_at_half_the_reference_pace_is_scaled_down_by_half() {
+        let slow = 2.0 * pace::REFERENCE_PACE_S;
+        let s = Samples {
+            setup: vec![0.4],
+            shard: vec![vec![3.0, 2.0], vec![1.0]],
+            // Shard 0's fastest kernel run is the slow one: each shard
+            // keeps its fastest, and the pace is their mean.
+            pace: vec![vec![slow, 3.0 * pace::REFERENCE_PACE_S], vec![slow]],
+            peak_rss_mib: 0.0,
+        };
+        assert!((s.pace() - slow).abs() < 1e-12);
+        assert!((s.wall() - 1.5).abs() < 1e-12);
+        assert!((s.setup() - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -467,7 +554,7 @@ mod tests {
         };
         let a = names(1);
         assert_eq!(a.len(), Workload::PressureTail.shards());
-        assert_eq!(a.iter().map(Vec::len).sum::<usize>(), 120);
+        assert_eq!(a.iter().map(Vec::len).sum::<usize>(), 40);
         assert_eq!(a, names(2));
     }
 
