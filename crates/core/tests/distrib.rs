@@ -5,11 +5,11 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use widening::distrib::{
-    run_on_queue, run_worker, CoordinatorConfig, JobQueue, Launcher, ShardReport, SweepManifest,
-    WorkerConfig,
+    run_on_queue, run_worker, CoordinatorConfig, JobQueue, Launcher, LeaseStamp, ShardReport,
+    SweepManifest, WorkerConfig, MASS_UNKNOWN,
 };
 use widening::distributed::{merge_published, sweep_distributed, DistributedOptions};
 use widening::{CorpusEval, EvalOptions, Evaluator};
@@ -372,7 +372,7 @@ fn recursive_halving_reoffers_the_tail_and_survives_a_dead_second_thief() {
 #[test]
 fn idle_workers_retire_on_scale_down_tokens_and_the_merge_is_unaffected() {
     // One tiny shard (below the steal threshold) and a three-worker
-    // fleet: whoever loses the claim race has nothing to claim and
+    // fleet: a worker without the shard has nothing to claim and
     // nothing to steal. The coordinator's mass estimate says one worker
     // suffices, so it posts retirement tokens and the idle workers exit
     // early instead of polling until the owner finishes.
@@ -395,7 +395,29 @@ fn idle_workers_retire_on_scale_down_tokens_and_the_merge_is_unaffected() {
     cfg.mass_per_worker = Some(u64::MAX);
     cfg.lease_ttl = Duration::from_millis(500);
     cfg.poll = Duration::from_millis(5);
-    let run = run_on_queue(&queue, &cfg, &Launcher::InProcess).expect("fleet drains");
+    // The shard must not finish before the tokens are posted, so the
+    // test owns it first: it heartbeats the lease until a worker has
+    // retired on a token, then lets it stall. The coordinator requeues
+    // the shard and the worker that stayed runs it.
+    let owner = queue
+        .claim_next("test-owner")
+        .expect("the shard is unclaimed");
+    let run = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let deadline = Instant::now() + Duration::from_secs(60);
+            let mut counter = 0;
+            while queue.retirements_claimed() == 0 && Instant::now() < deadline {
+                counter += 1;
+                let stamp = LeaseStamp {
+                    counter,
+                    mass: MASS_UNKNOWN,
+                };
+                queue.renew_lease(owner, "test-owner", stamp);
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        });
+        run_on_queue(&queue, &cfg, &Launcher::InProcess).expect("fleet drains")
+    });
     assert!(queue.all_done());
     assert!(
         run.scale_downs >= 1,

@@ -13,11 +13,12 @@ use std::sync::Arc;
 use widening::{CorpusEval, EvalOptions, Evaluator};
 use widening_machine::{Configuration, CycleModel};
 use widening_pipeline::StoreConfig;
+use widening_regalloc::{SpillOptions, SpillPolicy};
 use widening_workload::{corpus, kernels};
 
 /// `(tag, total_cycles, total_kernel_words, total_static_words, failed,
 /// at_mii, spill_ops)` — the f64 aggregates as raw bits.
-const GOLDEN: [(&str, u64, u64, u64, usize, usize, u64); 8] = [
+const GOLDEN: [(&str, u64, u64, u64, usize, usize, u64); 17] = [
     (
         "peak-1w1",
         0x41215e9b2e2d273f,
@@ -90,6 +91,87 @@ const GOLDEN: [(&str, u64, u64, u64, usize, usize, u64); 8] = [
         12,
         0,
     ),
+    (
+        "adaptive-1w16-32",
+        0x40f8db7e00b591d3,
+        0x40b4619618e0d093,
+        0x4096a40000000000,
+        6,
+        33,
+        0,
+    ),
+    (
+        "spill-first-1w16-32",
+        0x40f8e0946ccd5fda,
+        0x40b4670358fa34df,
+        0x4096ac0000000000,
+        6,
+        34,
+        4,
+    ),
+    (
+        "increase-ii-1w16-32",
+        0x40f8db7e00b591d3,
+        0x40b4619618e0d093,
+        0x4096a40000000000,
+        6,
+        33,
+        0,
+    ),
+    (
+        "adaptive-1w8-32",
+        0x410a14f4947bc75a,
+        0x40ba190cc9fb1539,
+        0x409af40000000000,
+        0,
+        40,
+        154,
+    ),
+    (
+        "spill-first-1w8-32",
+        0x410a14f4947bc75a,
+        0x40ba190cc9fb1539,
+        0x409af40000000000,
+        0,
+        40,
+        154,
+    ),
+    (
+        "increase-ii-1w8-32",
+        0x41047aa53171e25d,
+        0x40afa113e0aa4ece,
+        0x40919c0000000000,
+        3,
+        37,
+        0,
+    ),
+    (
+        "adaptive-8w1-32",
+        0x411e8524c6bdfdcf,
+        0x40a21716376b39a4,
+        0x407b300000000000,
+        3,
+        8,
+        28,
+    ),
+    (
+        "spill-first-8w1-32",
+        0x41216c50d9acd042,
+        0x40a5cb867806c6fa,
+        0x407b700000000000,
+        6,
+        8,
+        564,
+    ),
+    (
+        "increase-ii-8w1-32",
+        0x411e8524c6bdfdcf,
+        0x40a21716376b39a4,
+        0x407b300000000000,
+        3,
+        7,
+        0,
+    ),
 ];
 
 fn check(tag: &str, e: &CorpusEval) {
@@ -144,6 +226,37 @@ fn evaluator_reproduces_seed_aggregates_bitwise() {
         "kernels-2w2-64",
         &kv.scheduled(&cfg, CycleModel::Cycles4, &EvalOptions::default()),
     );
+}
+
+#[test]
+fn spill_policies_reproduce_seed_aggregates_bitwise() {
+    // Register-starved points where the spill round loop does real work:
+    // pressure failures, multi-round II increases and spill-first wins,
+    // under each policy. These rows were recorded before the round loop
+    // learned to stop early (II-increase first with a capped spill-first
+    // run, the MaxLives floor on the packers, prepared-table reuse), so
+    // they pin those shortcuts to the exhaustive search's results.
+    let ev = Evaluator::new(corpus::generate(&corpus::CorpusSpec::small(40, 9)));
+    for (x, y, z) in [(1, 16, 32), (1, 8, 32), (8, 1, 32)] {
+        let cfg = Configuration::monolithic(x, y, z).unwrap();
+        for (name, policy) in [
+            ("adaptive", SpillPolicy::Adaptive),
+            ("spill-first", SpillPolicy::SpillFirst),
+            ("increase-ii", SpillPolicy::IncreaseIiOnly),
+        ] {
+            let opts = EvalOptions {
+                spill: SpillOptions {
+                    policy,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            check(
+                &format!("{name}-{x}w{y}-{z}"),
+                &ev.scheduled(&cfg, CycleModel::Cycles4, &opts),
+            );
+        }
+    }
 }
 
 #[test]

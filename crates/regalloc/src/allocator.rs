@@ -207,9 +207,11 @@ type Packing = Vec<(u32, u32, u32)>;
 
 /// Cylinders larger than this (in slots) fall back to the legacy
 /// `Vec<Vec<Arc>>` packers rather than materialising per-register
-/// bitsets. Real schedules stay orders of magnitude below it (the
-/// corpus peaks at c = 64); only adversarial lifetimes with enormous
-/// spans reach the fallback.
+/// bitsets. Real schedules stay well below it: register-starved points
+/// reach several hundred slots (`repro --quick=120 fig9 fig3 ablate`
+/// packs more than 2,500 cylinders with c > 128, the largest at
+/// c = 796); only adversarial lifetimes with enormous spans reach the
+/// fallback.
 const DENSE_SLOT_LIMIT: u64 = 1 << 14;
 
 /// Reusable working storage for [`allocate_in`]: arc tables, cylinder
@@ -275,6 +277,18 @@ pub fn allocate(lifetimes: &[Lifetime], ii: u32) -> RegisterAllocation {
 /// Panics if `ii` is zero.
 #[must_use]
 pub fn allocate_in(lifetimes: &[Lifetime], ii: u32, s: &mut AllocScratch) -> RegisterAllocation {
+    let (ml, k, c) = expand_arcs(lifetimes, ii, s);
+    let registers_used = if c <= DENSE_SLOT_LIMIT {
+        pack_best_dense(lifetimes, ii, k, c, ml, s)
+    } else {
+        pack_best_legacy(lifetimes, ii, k, c, s)
+    };
+    allocation_from(lifetimes, registers_used, ml, k, &s.best)
+}
+
+/// Fills `s.arcs` with the modulo-expanded arcs of `lifetimes` in
+/// adjacency order and returns `(MaxLives, K, c = K·II)`.
+fn expand_arcs(lifetimes: &[Lifetime], ii: u32, s: &mut AllocScratch) -> (u32, u32, u64) {
     assert!(ii >= 1, "II must be at least 1");
     let ml = max_lives_with(lifetimes, ii, &mut s.rows);
     let k = lifetimes
@@ -301,15 +315,18 @@ pub fn allocate_in(lifetimes: &[Lifetime], ii: u32, s: &mut AllocScratch) -> Reg
     // sort is deterministic.
     s.arcs
         .sort_unstable_by_key(|a| (a.start, Reverse(a.len), a.lifetime, a.instance));
+    (ml, k, c)
+}
 
-    let (registers_used, triples) = if c <= DENSE_SLOT_LIMIT {
-        pack_best_dense(lifetimes, ii, k, c, s)
-    } else {
-        pack_best_legacy(lifetimes, ii, k, c, s)
-    };
-
-    // Derive the legacy arc-order assignment and the dense location
-    // table from the winning packing.
+/// Assembles the allocation from the winning packing: the legacy
+/// arc-order assignment and the dense location table.
+fn allocation_from(
+    lifetimes: &[Lifetime],
+    registers_used: u32,
+    ml: u32,
+    k: u32,
+    triples: &[(u32, u32, u32)],
+) -> RegisterAllocation {
     let assignment: Vec<(u32, u32)> = triples.iter().map(|&(lt, _, r)| (lt, r)).collect();
     let mut locations = vec![u32::MAX; lifetimes.len() * k as usize];
     for &(lt, instance, r) in triples {
@@ -335,16 +352,21 @@ fn arcs_push(arcs: &mut Vec<Arc>, lifetime: u32, instance: u32, start: u64, len:
     });
 }
 
-/// Runs all six packers on the dense (bitset) representation and
-/// returns the tightest packing. Mirrors [`pack_best_legacy`] result
-/// for result, candidate order and strict-improvement tie-breaking.
-fn pack_best_dense<'a>(
+/// Runs the six packers on the dense (bitset) representation and
+/// leaves the tightest packing in `s.best`, returning its register
+/// count. Mirrors [`pack_best_legacy`] result for result, candidate
+/// order and strict-improvement tie-breaking — but stops as soon as the
+/// best count reaches `floor` (the `MaxLives` bound): no packer can go
+/// below it, and a later packer that merely ties never replaces the
+/// winner, so the remaining packers cannot change the result.
+fn pack_best_dense(
     lifetimes: &[Lifetime],
     ii: u32,
     k: u32,
     c: u64,
-    s: &'a mut AllocScratch,
-) -> (u32, &'a Packing) {
+    floor: u32,
+    s: &mut AllocScratch,
+) -> u32 {
     let n = s.arcs.len();
     let wpc = words::words_for(c as usize);
     s.masks.clear();
@@ -386,6 +408,9 @@ fn pack_best_dense<'a>(
         &mut s.best,
     );
     for which in 0..5 {
+        if best_regs == floor {
+            break;
+        }
         let regs = match which {
             0 => pack_first_fit_dense(&s.arcs, &s.idx_adj, &s.masks, wpc, &mut s.occ, &mut s.tmp),
             1 => pack_end_fit_dense(
@@ -407,18 +432,13 @@ fn pack_best_dense<'a>(
             std::mem::swap(&mut s.best, &mut s.tmp);
         }
     }
-    (best_regs, &s.best)
+    best_regs
 }
 
 /// The original `Vec<Vec<Arc>>` packers, used verbatim when the
-/// cylinder is too large to bitset (`c > DENSE_SLOT_LIMIT`).
-fn pack_best_legacy<'a>(
-    lifetimes: &[Lifetime],
-    ii: u32,
-    k: u32,
-    c: u64,
-    s: &'a mut AllocScratch,
-) -> (u32, &'a Packing) {
+/// cylinder is too large to bitset (`c > DENSE_SLOT_LIMIT`): all six
+/// run, the tightest packing lands in `s.best`.
+fn pack_best_legacy(lifetimes: &[Lifetime], ii: u32, k: u32, c: u64, s: &mut AllocScratch) -> u32 {
     let mut best = pack_end_fit_ref(&s.arcs, c);
     let mut by_len = s.arcs.clone();
     by_len.sort_unstable_by_key(|a| (Reverse(a.len), a.start, a.lifetime, a.instance));
@@ -436,7 +456,7 @@ fn pack_best_legacy<'a>(
         }
     }
     s.best = best.1;
-    (best.0, &s.best)
+    best.0
 }
 
 /// Lam's modulo-variable-expansion allocation: value `v` rotates through
@@ -1043,6 +1063,31 @@ mod tests {
             s.masks = masks.clone();
             let dr = pack_cut_interval_dense(&mut s, wpc, c);
             assert_eq!((rr, &ra), (dr, &s.tmp), "cut-interval case {case}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(160))]
+
+        /// The `MaxLives` floor only skips packers that cannot win: the
+        /// whole allocation equals the full best-of-six selection with no
+        /// early stop, run on the reference packers. (Same lifetime
+        /// shapes as the `arb_lifetimes` property tests.)
+        #[test]
+        fn allocation_matches_full_reference_selection(
+            ii in 1u32..24,
+            raw in proptest::collection::vec((0u32..60, 1u32..40), 1..40),
+        ) {
+            let lts: Vec<Lifetime> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(start, len))| lt(i as u32, start, start + len))
+                .collect();
+            let mut s = AllocScratch::new();
+            let (ml, k, c) = expand_arcs(&lts, ii, &mut s);
+            let regs = pack_best_legacy(&lts, ii, k, c, &mut s);
+            let reference = allocation_from(&lts, regs, ml, k, &s.best);
+            proptest::prop_assert_eq!(allocate(&lts, ii), reference);
         }
     }
 

@@ -12,6 +12,15 @@
 //!   spills;
 //! * as an alternative (or fallback), *increase the II*, which shortens
 //!   relative lifetimes and lowers pressure without extra traffic.
+//!
+//! The default [`SpillPolicy::Adaptive`] runs both pure policies and
+//! keeps the better result. The round loop stops as soon as that answer
+//! is decided, without changing it: the II-increase run goes first and
+//! skips packing in rounds whose `MaxLives` already exceeds the file;
+//! its II then caps the spill-first run, which stops once `ResMII` (or
+//! its minimum II) passes that cap, since neither ever falls. Rounds
+//! that only raise the minimum II reuse the graph's MII bounds and the
+//! scheduler's II-independent tables ([`ModuloScheduler::reschedule`]).
 
 use std::borrow::Cow;
 use std::error::Error;
@@ -24,7 +33,7 @@ use widening_sched::{
 };
 
 use crate::allocator::{allocate_in, AllocScratch, RegisterAllocation};
-use crate::lifetime::{lifetimes_into, Lifetime};
+use crate::lifetime::{lifetimes_into, max_lives_with, Lifetime};
 
 /// What to do when register pressure exceeds the file size.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -32,6 +41,15 @@ pub enum SpillPolicy {
     /// Try both pure policies and keep the better result (fewer failed
     /// loops, then lower II). Llosa's MICRO-29 evaluates spilling *and*
     /// II increase and picks per-loop; this is the default.
+    ///
+    /// The II-increase run goes first; a round-1 fit is returned at once
+    /// (round 1 is the same under both policies). Otherwise the
+    /// spill-first result wins when it succeeds at an II no larger than
+    /// the II-increase one, so the spill-first run stops as soon as
+    /// `max(ResMII, minimum II)` exceeds that II: spill code only adds
+    /// operations, so neither bound ever falls again. When the II
+    /// increase fails, the spill-first outcome — result or error — is
+    /// returned as is.
     #[default]
     Adaptive,
     /// Insert spill code first; increase II only when nothing is
@@ -204,47 +222,68 @@ pub fn schedule_with_registers_seeded(
     spill_opts: &SpillOptions,
     first: Option<FirstRound<'_>>,
 ) -> Result<PressureResult, RegallocError> {
-    if spill_opts.policy == SpillPolicy::Adaptive {
-        // Run the spill-first engine; if it needed pressure relief (or
-        // failed), also try pure II increase and keep the better result.
+    let run = |policy, stop| {
+        run_rounds(
+            ddg,
+            cfg,
+            model,
+            sched_opts,
+            &SpillOptions {
+                policy,
+                ..*spill_opts
+            },
+            first,
+            stop,
+        )
+    };
+    match spill_opts.policy {
         // Memory-bound machines often prefer the II increase: spill
-        // traffic competes for the very buses that set the II.
-        let spill = schedule_with_registers_seeded(
-            ddg,
-            cfg,
-            model,
-            sched_opts,
-            &SpillOptions {
-                policy: SpillPolicy::SpillFirst,
-                ..*spill_opts
+        // traffic competes for the very buses that set the II. So it
+        // runs first, and its II caps the spill-first run.
+        SpillPolicy::Adaptive => match run(SpillPolicy::IncreaseIiOnly, Stop::OverMaxLives) {
+            Ok(b) if b.rounds == 1 => Ok(b),
+            Ok(b) => match run(SpillPolicy::SpillFirst, Stop::AboveIi(b.schedule.ii())) {
+                Ok(a) if a.schedule.ii() <= b.schedule.ii() => Ok(a),
+                _ => Ok(b),
             },
-            first,
-        );
-        if matches!(&spill, Ok(r) if r.rounds == 1) {
-            return spill;
-        }
-        let stretch = schedule_with_registers_seeded(
-            ddg,
-            cfg,
-            model,
-            sched_opts,
-            &SpillOptions {
-                policy: SpillPolicy::IncreaseIiOnly,
-                ..*spill_opts
-            },
-            first,
-        );
-        return match (spill, stretch) {
-            (Ok(a), Ok(b)) => Ok(if a.schedule.ii() <= b.schedule.ii() {
-                a
-            } else {
-                b
-            }),
-            (Ok(a), Err(_)) => Ok(a),
-            (Err(_), Ok(b)) => Ok(b),
-            (Err(a), Err(_)) => Err(a),
-        };
+            // The II increase failed: the spill-first outcome, success
+            // or error, is the answer.
+            Err(_) => run(SpillPolicy::SpillFirst, Stop::Never),
+        },
+        policy => run(policy, Stop::Never),
     }
+}
+
+/// How a pure-policy run may cut its work short. Either way it can only
+/// fail where the exhaustive run would not be chosen, and its caller
+/// discards that failure, so no observable result changes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stop {
+    /// Run the whole budget and report the exact best requirement.
+    Never,
+    /// A round whose `MaxLives` exceeds the file fails without packing:
+    /// every packing needs at least `MaxLives` registers. Skipped rounds
+    /// do not count towards the reported `needed`.
+    OverMaxLives,
+    /// Stop once `max(ResMII, min_ii)` exceeds this II. Spill code only
+    /// adds memory operations, so `ResMII` never falls from round to
+    /// round; `min_ii` never falls either; and every schedule has
+    /// `II ≥ max(MII, min_ii)`. From that round on no result can reach
+    /// an II at or below the cap.
+    AboveIi(u32),
+}
+
+/// One pure-policy run of the round loop (`policy` is `SpillFirst` or
+/// `IncreaseIiOnly`).
+fn run_rounds(
+    ddg: &Ddg,
+    cfg: &Configuration,
+    model: CycleModel,
+    sched_opts: &SchedulerOptions,
+    spill_opts: &SpillOptions,
+    first: Option<FirstRound<'_>>,
+    stop: Stop,
+) -> Result<PressureResult, RegallocError> {
     let scheduler = ModuloScheduler::with_options(*cfg, model, *sched_opts);
     let available = cfg.registers();
     // The graph is only cloned when spill code actually rewrites it; the
@@ -264,10 +303,12 @@ pub fn schedule_with_registers_seeded(
     let mut sched_scratch = SchedScratch::new();
     let mut alloc_scratch = AllocScratch::new();
     let mut lts_buf: Vec<Lifetime> = Vec::new();
+    let mut rows: Vec<i64> = Vec::new();
     let mut rewrite = RewriteScratch::default();
-    // MII bounds are a deterministic function of the graph alone, so one
-    // computation serves every round until spill code changes the graph
-    // (min_ii bumps reuse it).
+    // MII bounds and the scheduler's II-independent tables are a
+    // deterministic function of the graph alone, so one computation
+    // serves every round until spill code changes the graph (min_ii
+    // bumps reuse both).
     let mut bounds: Option<MiiBounds> = None;
 
     for round in 1..=spill_opts.max_rounds {
@@ -278,9 +319,23 @@ pub fn schedule_with_registers_seeded(
                 (f.schedule.clone(), f.allocation.clone())
             }
             None => {
+                let prepared = bounds.is_some();
                 let b = bounds.get_or_insert_with(|| MiiBounds::compute(&graph, cfg, model));
-                let schedule = scheduler.schedule_with(&graph, b, min_ii, &mut sched_scratch)?;
+                if matches!(stop, Stop::AboveIi(cap) if b.res_mii().max(min_ii) > cap) {
+                    break;
+                }
+                let schedule = if prepared {
+                    scheduler.reschedule(&graph, b, min_ii, &mut sched_scratch)?
+                } else {
+                    scheduler.schedule_with(&graph, b, min_ii, &mut sched_scratch)?
+                };
                 lifetimes_into(&graph, &schedule, model, &mut lts_buf);
+                if stop == Stop::OverMaxLives
+                    && max_lives_with(&lts_buf, schedule.ii(), &mut rows) > available
+                {
+                    min_ii = schedule.ii() + 1;
+                    continue;
+                }
                 let alloc = allocate_in(&lts_buf, schedule.ii(), &mut alloc_scratch);
                 (schedule, alloc)
             }
@@ -541,6 +596,7 @@ fn insert_spills_with(
 mod tests {
     use super::*;
     use widening_ir::DdgBuilder;
+    use widening_workload::corpus::{generate, CorpusSpec};
 
     const M4: CycleModel = CycleModel::Cycles4;
 
@@ -680,6 +736,30 @@ mod tests {
             let flows: Vec<_> = g2.in_edges(a).filter(|e| e.kind.is_flow()).collect();
             assert_eq!(flows.len(), 1);
             assert_eq!(g2.op(flows[0].src).kind(), OpKind::Load);
+        }
+    }
+
+    #[test]
+    fn spill_rewrites_never_lower_res_mii() {
+        // `Adaptive` caps its spill-first run on this: spill code only
+        // adds memory operations, so ResMII can only grow from round to
+        // round, whatever the victims.
+        let mut rewrite = RewriteScratch::default();
+        for l in generate(&CorpusSpec::small(12, 5)) {
+            let g = l.ddg();
+            let values: Vec<NodeId> = g
+                .node_ids()
+                .filter(|&v| g.out_edges(v).any(|e| e.kind.is_flow()))
+                .collect();
+            for (x, y) in [(1, 1), (2, 1), (4, 2), (8, 1)] {
+                let cfg = Configuration::monolithic(x, y, 32).unwrap();
+                let before = MiiBounds::compute(g, &cfg, M4).res_mii();
+                for take in [1, values.len() / 2, values.len()] {
+                    let (g2, _) = insert_spills_with(g, &values[..take], &mut rewrite).unwrap();
+                    let after = MiiBounds::compute(&g2, &cfg, M4).res_mii();
+                    assert!(after >= before, "{x}w{y}: ResMII {before} -> {after}");
+                }
+            }
         }
     }
 

@@ -1,16 +1,73 @@
 //! Property tests for lifetimes, allocation bounds and the spill engine.
 
 use proptest::prelude::*;
-use widening_ir::NodeId;
+use widening_ir::{Ddg, NodeId};
 use widening_machine::{Configuration, CycleModel};
 use widening_regalloc::{
     allocate, allocate_in, lifetimes, lifetimes_into, max_lives, schedule_with_registers,
-    AllocScratch, Lifetime, SpillOptions,
+    AllocScratch, Lifetime, PressureResult, RegallocError, SpillOptions, SpillPolicy,
 };
 use widening_sched::{
-    MiiBounds, ModuloScheduler, SchedScratch, SchedulerOptions, Strategy as SchedStrategy,
+    MiiBounds, ModuloScheduler, SchedScratch, Schedule, SchedulerOptions, Strategy as SchedStrategy,
 };
+use widening_transform::widen;
 use widening_workload::corpus::{generate, CorpusSpec};
+
+/// The `Adaptive` policy the long way: both pure policies run to
+/// completion through the public API, then the spill-first result wins
+/// if it succeeded at an II no larger than the II-increase result; when
+/// both fail, the spill-first error is reported.
+fn adaptive_reference(ddg: &Ddg, cfg: &Configuration) -> Result<PressureResult, RegallocError> {
+    let run = |policy| {
+        schedule_with_registers(
+            ddg,
+            cfg,
+            CycleModel::Cycles4,
+            &SchedulerOptions::default(),
+            &SpillOptions {
+                policy,
+                ..SpillOptions::default()
+            },
+        )
+    };
+    let spill = run(SpillPolicy::SpillFirst);
+    if matches!(&spill, Ok(r) if r.rounds == 1) {
+        return spill;
+    }
+    match (spill, run(SpillPolicy::IncreaseIiOnly)) {
+        (Ok(a), Ok(b)) => Ok(if a.schedule.ii() <= b.schedule.ii() {
+            a
+        } else {
+            b
+        }),
+        (Ok(a), Err(_)) => Ok(a),
+        (Err(_), Ok(b)) => Ok(b),
+        (Err(a), Err(_)) => Err(a),
+    }
+}
+
+/// The `IncreaseIiOnly` policy the long way: fresh scheduler calls at
+/// a rising minimum II, each allocated in full, so a failure reports
+/// the exact best requirement seen.
+fn increase_ii_reference(ddg: &Ddg, cfg: &Configuration) -> Result<(Schedule, u32), RegallocError> {
+    let scheduler = ModuloScheduler::new(*cfg, CycleModel::Cycles4);
+    let mut min_ii = 1;
+    let mut best = u32::MAX;
+    for round in 1..=SpillOptions::default().max_rounds {
+        let schedule = scheduler.schedule_with_min_ii(ddg, min_ii)?;
+        let lts = lifetimes(ddg, &schedule, CycleModel::Cycles4);
+        let needed = allocate(&lts, schedule.ii()).registers_used();
+        if needed <= cfg.registers() {
+            return Ok((schedule, round));
+        }
+        best = best.min(needed);
+        min_ii = schedule.ii() + 1;
+    }
+    Err(RegallocError::Pressure {
+        needed: best,
+        available: cfg.registers(),
+    })
+}
 
 fn arb_lifetimes() -> impl Strategy<Value = (Vec<Lifetime>, u32)> {
     (
@@ -193,6 +250,82 @@ proptest! {
                     prop_assert_eq!(available, regs);
                 }
                 Err(e) => return Err(TestCaseError::fail(format!("unexpected: {e}"))),
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// The production `Adaptive` run (II increase first, capped
+    /// spill-first run, MaxLives verdicts) equals the exhaustive
+    /// reference on widened corpus loops at register-starved points:
+    /// the same schedule, allocation, graph, spills and round count, or
+    /// the same error. The standalone II-increase run (prepared-table
+    /// reuse across II bumps) matches its own reference, down to the
+    /// `needed` of a failure.
+    #[test]
+    fn adaptive_matches_exhaustive_reference(
+        seed in 0u64..5000,
+        y in 0usize..2,
+        z in 0usize..2,
+    ) {
+        let width = [8u32, 16][y];
+        let cfg = Configuration::monolithic(1, width, [32u32, 64][z]).expect("valid");
+        for l in generate(&CorpusSpec::small(3, seed)) {
+            let wide = widen(l.ddg(), width);
+            let got = schedule_with_registers(
+                wide.ddg(),
+                &cfg,
+                CycleModel::Cycles4,
+                &SchedulerOptions::default(),
+                &SpillOptions::default(),
+            );
+            // The standalone II-increase run keeps its exact `needed`.
+            let stretch = schedule_with_registers(
+                wide.ddg(),
+                &cfg,
+                CycleModel::Cycles4,
+                &SchedulerOptions::default(),
+                &SpillOptions {
+                    policy: SpillPolicy::IncreaseIiOnly,
+                    ..SpillOptions::default()
+                },
+            );
+            match (stretch, increase_ii_reference(wide.ddg(), &cfg)) {
+                (Ok(a), Ok((schedule, rounds))) => {
+                    prop_assert_eq!((a.schedule, a.rounds), (schedule, rounds));
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                (a, b) => {
+                    return Err(TestCaseError::fail(format!(
+                        "II-increase outcomes differ: {:?} vs {:?}",
+                        a.map(|r| r.schedule.ii()),
+                        b.map(|(s, _)| s.ii())
+                    )));
+                }
+            }
+            match (got, adaptive_reference(wide.ddg(), &cfg)) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert_eq!(a.schedule, b.schedule);
+                    prop_assert_eq!(a.allocation, b.allocation);
+                    prop_assert_eq!(a.ddg, b.ddg);
+                    prop_assert_eq!(a.lifetimes, b.lifetimes);
+                    prop_assert_eq!(a.spills, b.spills);
+                    prop_assert_eq!(
+                        (a.spill_stores, a.spill_loads, a.rounds),
+                        (b.spill_stores, b.spill_loads, b.rounds)
+                    );
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                (a, b) => {
+                    return Err(TestCaseError::fail(format!(
+                        "outcomes differ: {:?} vs {:?}",
+                        a.map(|r| r.schedule.ii()),
+                        b.map(|r| r.schedule.ii())
+                    )));
+                }
             }
         }
     }

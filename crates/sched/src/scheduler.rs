@@ -25,7 +25,9 @@
 //! priority queue and eviction lists. Work that does not depend on the
 //! candidate II — edge delays, node latencies, the reachability closure
 //! and the HRMS priority sets, the SCC condensation — is hoisted out of
-//! the II loop entirely and computed once per call. After warm-up a
+//! the II loop entirely and computed once per call;
+//! [`ModuloScheduler::reschedule`] reuses it across calls that differ
+//! only in the minimum II. After warm-up a
 //! steady-state II attempt performs no heap allocation (asserted by the
 //! `zero_alloc` integration test).
 
@@ -237,7 +239,7 @@ impl ModuloScheduler {
     /// inside the search window.
     pub fn schedule(&self, ddg: &Ddg) -> Result<Schedule, ScheduleError> {
         let bounds = MiiBounds::compute(ddg, &self.cfg, self.model);
-        self.schedule_bounded(ddg, &bounds, 1, &mut SchedScratch::new())
+        self.schedule_bounded(ddg, &bounds, 1, &mut SchedScratch::new(), true)
     }
 
     /// Schedules `ddg` with the II search starting no lower than
@@ -250,7 +252,7 @@ impl ModuloScheduler {
     /// inside the search window.
     pub fn schedule_with_min_ii(&self, ddg: &Ddg, min_ii: u32) -> Result<Schedule, ScheduleError> {
         let bounds = MiiBounds::compute(ddg, &self.cfg, self.model);
-        self.schedule_bounded(ddg, &bounds, min_ii, &mut SchedScratch::new())
+        self.schedule_bounded(ddg, &bounds, min_ii, &mut SchedScratch::new(), true)
     }
 
     /// Schedules `ddg` reusing precomputed [`MiiBounds`].
@@ -264,7 +266,7 @@ impl ModuloScheduler {
         ddg: &Ddg,
         bounds: &MiiBounds,
     ) -> Result<Schedule, ScheduleError> {
-        self.schedule_bounded(ddg, bounds, 1, &mut SchedScratch::new())
+        self.schedule_bounded(ddg, bounds, 1, &mut SchedScratch::new(), true)
     }
 
     /// Schedules `ddg` reusing precomputed [`MiiBounds`] *and* a caller
@@ -283,7 +285,34 @@ impl ModuloScheduler {
         min_ii: u32,
         scratch: &mut SchedScratch,
     ) -> Result<Schedule, ScheduleError> {
-        self.schedule_bounded(ddg, bounds, min_ii, scratch)
+        self.schedule_bounded(ddg, bounds, min_ii, scratch, true)
+    }
+
+    /// [`Self::schedule_with`] without the II-independent preparation:
+    /// reuses the edge delays, latencies and ordering tables the last
+    /// `schedule_with` call left in `scratch`. The caller guarantees that
+    /// call was made by this scheduler on this same `ddg` and `bounds`,
+    /// so only `min_ii` differs — the spill engine's II-increase rounds.
+    /// Results are identical to `schedule_with`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScheduleError::NoSchedule`] if no feasible II is found
+    /// inside the search window.
+    pub fn reschedule(
+        &self,
+        ddg: &Ddg,
+        bounds: &MiiBounds,
+        min_ii: u32,
+        scratch: &mut SchedScratch,
+    ) -> Result<Schedule, ScheduleError> {
+        debug_assert_eq!(
+            scratch.delays.len(),
+            ddg.num_edges(),
+            "scratch not prepared"
+        );
+        debug_assert_eq!(scratch.lat.len(), ddg.num_nodes(), "scratch not prepared");
+        self.schedule_bounded(ddg, bounds, min_ii, scratch, false)
     }
 
     /// Runs one placement attempt at exactly `ii` (no II search, no
@@ -308,8 +337,11 @@ impl ModuloScheduler {
         bounds: &MiiBounds,
         min_ii: u32,
         scratch: &mut SchedScratch,
+        prepare: bool,
     ) -> Result<Schedule, ScheduleError> {
-        self.prepare(ddg, bounds, scratch);
+        if prepare {
+            self.prepare(ddg, bounds, scratch);
+        }
         let mii = bounds.mii().max(min_ii);
         let limit = (mii
             .saturating_mul(self.opts.ii_window_factor)
@@ -1107,6 +1139,34 @@ mod tests {
                     let fresh = sched.schedule_with_bounds(&g, &bounds).unwrap();
                     let reused = sched.schedule_with(&g, &bounds, 1, &mut scratch).unwrap();
                     assert_eq!(fresh, reused, "{} x{}", strat.label(), x);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reschedule_matches_a_prepared_call() {
+        // After one prepared call on a graph, rescheduling at any higher
+        // minimum II must equal a fresh prepared call at that II.
+        for strat in Strategy::ALL {
+            let sched = ModuloScheduler::with_options(
+                cfg(1),
+                M4,
+                SchedulerOptions {
+                    strategy: strat,
+                    ..Default::default()
+                },
+            );
+            for g in [daxpy(), reduction()] {
+                let b = MiiBounds::compute(&g, &cfg(1), M4);
+                let mut warm = SchedScratch::new();
+                let first = sched.schedule_with(&g, &b, 1, &mut warm).unwrap();
+                for min_ii in first.ii() + 1..first.ii() + 6 {
+                    let fresh = sched
+                        .schedule_with(&g, &b, min_ii, &mut SchedScratch::new())
+                        .unwrap();
+                    let reused = sched.reschedule(&g, &b, min_ii, &mut warm).unwrap();
+                    assert_eq!(fresh, reused, "{} min_ii={min_ii}", strat.label());
                 }
             }
         }
