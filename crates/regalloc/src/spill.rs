@@ -14,13 +14,10 @@
 //!   relative lifetimes and lowers pressure without extra traffic.
 //!
 //! The default [`SpillPolicy::Adaptive`] runs both pure policies and
-//! keeps the better result. The round loop stops as soon as that answer
-//! is decided, without changing it: the II-increase run goes first and
-//! skips packing in rounds whose `MaxLives` already exceeds the file;
-//! its II then caps the spill-first run, which stops once `ResMII` (or
-//! its minimum II) passes that cap, since neither ever falls. Rounds
-//! that only raise the minimum II reuse the graph's MII bounds and the
-//! scheduler's II-independent tables ([`ModuloScheduler::reschedule`]).
+//! keeps the better result, stopping each run as soon as that answer is
+//! decided (see its documentation). Rounds that only raise the minimum
+//! II reuse the graph's MII bounds and the scheduler's II-independent
+//! tables ([`ModuloScheduler::reschedule`]).
 
 use std::borrow::Cow;
 use std::error::Error;
